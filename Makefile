@@ -23,7 +23,7 @@ bench:
 # dataset at J=8, emitted as BENCH_kernels.json (raw lines stay
 # benchstat-comparable: jq -r '.raw_lines[]' BENCH_kernels.json).
 bench-kernels:
-	$(GO) test -run '^$$' -bench 'BenchmarkUpdateWts|BenchmarkBaseCycle' \
+	$(GO) test -run '^$$' -bench 'BenchmarkDataPass|BenchmarkBaseCycle' \
 		-benchmem -count 1 ./internal/autoclass \
 		| tee /dev/stderr | $(GO) run ./cmd/benchkernels -o BENCH_kernels.json
 

@@ -115,10 +115,14 @@ func TestEngineLifecycleErrors(t *testing.T) {
 	}
 }
 
+// TestWeightsAreNormalizedPerItem reads the per-item weights matrix, which
+// only the Reference path keeps.
 func TestWeightsAreNormalizedPerItem(t *testing.T) {
 	ds := paperDS(t, 300)
 	cls := mustClassification(t, ds, 4)
-	eng := mustEngine(t, ds, cls, DefaultConfig())
+	cfg := DefaultConfig()
+	cfg.Kernels = Reference
+	eng := mustEngine(t, ds, cls, cfg)
 	if err := eng.InitRandom(1); err != nil {
 		t.Fatal(err)
 	}
@@ -270,9 +274,22 @@ func TestPruningRemovesEmptyClasses(t *testing.T) {
 	if cls.J() < 1 {
 		t.Fatalf("all classes pruned")
 	}
-	// Weights matrix must track the new width.
-	if len(eng.wts) != ds.N()*cls.J() {
-		t.Fatalf("wts len %d != %d", len(eng.wts), ds.N()*cls.J())
+	// Memberships must track the new width and stay normalized.
+	p, err := Predict(cls, ds, PredictConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.J != cls.J() || len(p.Memberships) != ds.N()*cls.J() {
+		t.Fatalf("memberships J=%d len %d, want J=%d len %d", p.J, len(p.Memberships), cls.J(), ds.N()*cls.J())
+	}
+	for i := 0; i < ds.N(); i++ {
+		sum := 0.0
+		for _, w := range p.Membership(i) {
+			sum += w
+		}
+		if !stats.AlmostEqual(sum, 1, 1e-9) {
+			t.Fatalf("item %d memberships sum to %v", i, sum)
+		}
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/dataset"
-	"repro/internal/model"
 	"repro/internal/stats"
 	"repro/internal/trace"
 )
@@ -71,12 +70,12 @@ type Config struct {
 	PruneClasses bool
 	// Granularity selects the statistics-exchange pattern (parallel only).
 	Granularity Granularity
-	// Parallelism selects the intra-rank execution mode of the two
-	// data-parallel phases (the E-step of update_wts and the statistics
-	// accumulation of update_parameters):
+	// Parallelism selects the intra-rank execution mode of the cycle's
+	// data pass (the E-step of update_wts and the statistics accumulation
+	// of update_parameters):
 	//
-	//	 0 — historical strictly-sequential row loop (the default;
-	//	     bit-for-bit the seed engine's numerics);
+	//	 0 — historical strictly-sequential row loop (the default; with
+	//	     Reference kernels bit-for-bit the seed engine's numerics);
 	//	 1 — the deterministic sharded path on a single worker;
 	//	>1 — the sharded path on that many worker goroutines;
 	//	<0 — the sharded path on runtime.GOMAXPROCS(0) workers.
@@ -86,10 +85,10 @@ type Config struct {
 	// changing the worker count never changes the search trajectory. See
 	// parallel.go for the determinism invariant.
 	Parallelism int
-	// Kernels selects the term-evaluation path of the two data-parallel
-	// phases. The zero value is Blocked (the fast columnar kernels), so
-	// zero-valued Configs get the fast path; set Reference for the per-row
-	// path that is bitwise identical to the seed engine. See kernels.go.
+	// Kernels selects the term-evaluation path of the data pass. The zero
+	// value is Blocked (the fast columnar kernels), so zero-valued Configs
+	// get the fast path; set Reference for the per-row path that is bitwise
+	// identical to the seed engine. See kernels.go.
 	Kernels KernelMode
 	// SyncEvery is the bounded-staleness schedule of the parallel engine:
 	// each rank runs up to SyncEvery local EM cycles on stale global
@@ -97,8 +96,9 @@ type Config struct {
 	// the global model at the next synchronization. 0 or 1 (the default)
 	// is the paper's fully synchronous path — one global exchange per
 	// cycle, bitwise identical to the seed engine. Values > 1 only take
-	// effect on the parallel (Full-strategy) engine; the sequential engine
-	// and the WtsOnly baseline ignore it. See staleness.go.
+	// effect on the parallel (Full-strategy) engine, materialized or
+	// chunk-backed; the sequential engine and the WtsOnly baseline ignore
+	// it. See staleness.go.
 	SyncEvery int
 	// SyncDriftTol bounds the staleness when SyncEvery > 1: a stale cycle
 	// whose corrected local log-likelihood drifts from the last synced
@@ -233,7 +233,7 @@ type Engine struct {
 	reducer Reducer
 	charger Charger
 
-	wts         []float64 // local weights, n_local × J, row-major
+	wts         []float64 // Reference only: local weights, n_local × J, row-major
 	belowTol    int       // consecutive cycles below RelDelta
 	lastPost    float64
 	started     bool
@@ -247,11 +247,10 @@ type Engine struct {
 	// distributed checkpoint protocol) and may abort the run.
 	cycleHook CycleHook
 
-	scratch  shardScratch // per-shard accumulators, reused across cycles
-	statsBuf []float64    // merged statistics buffer, reused across cycles
-	logps    [][]float64  // per-worker log-membership scratch
-	wtsOut   []float64    // E-step result buffer {w_j..., logLik}, reused
-	offs     []int        // (class, term) statistics offsets, reused
+	scratch shardScratch // per-shard accumulators, reused across cycles
+	passBuf []float64    // merged pass result {w_j..., logLik | stats}, reused
+	logps   [][]float64  // Reference per-worker log-membership scratch
+	offs    []int        // (class, term) statistics offsets, reused
 
 	// Bounded-staleness state (see staleness.go): the global model at the
 	// last synchronization point — class weights plus log-likelihood
@@ -267,22 +266,16 @@ type Engine struct {
 	pollBuf   [1]float64 // drift-bound agreement flag
 
 	// Blocked-kernel state (see kernels.go): the view's column-major
-	// mirror, one kernel per (class, term) with the term-identity snapshot
-	// that detects structural change, and per-worker block scratch.
-	cols      *dataset.Columns
-	kerns     [][]model.Kernel
-	kernTerms [][]model.Term
-	blockScr  []*blockScratch
+	// mirror, the per-worker kernel sets, and per-worker block scratch.
+	cols     *dataset.Columns
+	kernels  kernelCache
+	blockScr []*blockScratch
 
 	// Chunk-backed ("out-of-core") state: when the view's dataset is
-	// chunk-backed the engine walks its chunk plane through per-worker
-	// cursors instead of a monolithic mirror, and runs the fused low-
-	// memory cycle (lowmem.go) that never materializes the n×J weights
-	// matrix. fusedBuf is the merged {wtsOut | stats} buffer of that
-	// cycle, reused across cycles.
-	chunked  bool
-	src      dataset.ChunkSrc
-	fusedBuf []float64
+	// chunk-backed the data pass walks its chunk plane through per-worker
+	// cursors instead of a monolithic mirror.
+	chunked bool
+	src     dataset.ChunkSrc
 }
 
 // NewEngine validates inputs and builds an engine.
@@ -302,16 +295,11 @@ func NewEngine(view *dataset.View, cls *Classification, cfg Config, red Reducer,
 		lastPost: math.Inf(-1),
 	}
 	if view.Dataset().Chunked() {
-		// The chunk-backed data plane serves only the blocked kernels (the
+		// The chunk-backed data plane serves only the blocked kernels: the
 		// Reference per-row path walks row slices that virtual datasets do
-		// not have), and the bounded-staleness schedule needs the
-		// materialized weights matrix the fused low-memory cycle exists to
-		// avoid.
+		// not have.
 		if cfg.Kernels != Blocked {
 			return nil, errors.New("autoclass: Reference kernels require a materialized dataset")
-		}
-		if cfg.EffectiveSyncEvery() > 1 {
-			return nil, errors.New("autoclass: SyncEvery > 1 is not supported on a chunk-backed dataset")
 		}
 		src, err := view.ChunkSrc()
 		if err != nil {
@@ -349,8 +337,8 @@ func (e *Engine) SetCycleHook(h CycleHook) { e.cycleHook = h }
 // EngineState is the cycle-boundary snapshot of the engine's mutable search
 // state beyond the Classification itself: together with the classification
 // (parameters, weights, posterior) it is sufficient to continue the run —
-// the per-item weights matrix is recomputed from the parameters at the top
-// of the next BaseCycle, so it never needs to be persisted.
+// per-item weights are recomputed from the parameters by the next cycle's
+// data pass, so they never need to be persisted.
 type EngineState struct {
 	// Cycles is the classification's total cycle count at the snapshot.
 	Cycles int
@@ -427,175 +415,40 @@ func (e *Engine) InitRandom(seed uint64) error {
 	if j < 1 {
 		return errors.New("autoclass: no classes to initialize")
 	}
-	if e.chunked {
-		// The fused low-memory path: the crisp assignment is a pure
-		// function of (seed, global index), so the class weights and the
-		// initial statistics are accumulated directly from the hash — no
-		// n×J weights matrix. Adding the materialized path's zeros is
-		// exact, so the weights (and everything downstream) are bitwise
-		// the values the materialized init produces.
-		return e.initRandomFused(seed, t0)
-	}
-	e.wts = make([]float64, n*j)
-	start := e.view.Start()
-	for i := 0; i < n; i++ {
-		e.wts[i*j+InitialClass(seed, start+i, j)] = 1
-	}
+	wj, st, offs, _ := e.pass(true, seed)
 	e.charge(float64(n))
 	// Local class weights from the crisp assignment.
-	wj := make([]float64, j)
-	for i := 0; i < n; i++ {
-		for cj := 0; cj < j; cj++ {
-			wj[cj] += e.wts[i*j+cj]
-		}
-	}
-	if _, err := e.reduce(wj); err != nil {
+	if _, err := e.reduce(wj[:j]); err != nil {
 		return fmt.Errorf("autoclass: init reduce: %w", err)
 	}
 	for cj, cl := range e.cls.Classes {
 		cl.W = wj[cj]
 	}
 	e.cls.UpdateClassWeightsFromW()
-	if _, _, err := e.updateParameters(); err != nil {
+	if _, _, err := e.exchangeStats(st, offs); err != nil {
 		return err
 	}
+	e.charge(float64(n) * float64(j) * float64(e.cls.NumAttrColumns()))
 	e.updateApproximations()
 	e.started = true
 	e.initSeconds = time.Since(t0).Seconds()
 	return nil
 }
 
-// updateWts is the E-step (paper Fig. 4): compute w_ij for every local item
-// and class, normalize per item, and produce the class sums w_j plus the
-// data log-likelihood. The returned buffer is {w_0 … w_{J−1}, logLik},
-// which the caller reduces globally — this is P-AutoClass's first Allreduce.
-//
-// With Parallelism != 0 the rows are processed shard by shard on a worker
-// pool; each worker writes only its shard's rows of e.wts (disjoint slices)
-// and a per-shard accumulator, merged afterwards in fixed shard order.
-func (e *Engine) updateWts() ([]float64, error) {
-	n := e.view.N()
-	j := e.cls.J()
-	if len(e.wts) != n*j {
-		e.wts = make([]float64, n*j)
-	}
-	if cap(e.wtsOut) < j+1 {
-		e.wtsOut = make([]float64, j+1)
-	}
-	out := e.wtsOut[:j+1]
-	for i := range out {
-		out[i] = 0
-	}
-	blocked := e.cfg.Kernels == Blocked
-	if blocked {
-		e.prepareKernels()
-	}
-	if shards := NumRowShards(n); e.cfg.Parallelism != 0 && shards > 0 {
-		workers := e.cfg.Workers(shards)
-		bufs := e.scratch.get(shards, j+1)
-		if blocked {
-			scr := e.workerBlockScratch(workers, j)
-			ParallelFor(workers, shards, func(worker, s int) {
-				lo, hi := RowShardRange(s, n)
-				e.wtsRowsBlocked(lo, hi, bufs[s], scr[worker])
-			})
-		} else {
-			logps := e.workerLogps(workers, j)
-			ParallelFor(workers, shards, func(worker, s int) {
-				lo, hi := RowShardRange(s, n)
-				e.wtsRows(lo, hi, bufs[s], logps[worker][:j])
-			})
-		}
-		mergeShards(out, bufs)
-	} else if blocked {
-		e.wtsRowsBlocked(0, n, out, e.workerBlockScratch(1, j)[0])
-	} else {
-		e.wtsRows(0, n, out, e.workerLogps(1, j)[0][:j])
-	}
-	e.closeCursors()
-	a := float64(e.cls.NumAttrColumns())
-	e.charge(float64(n) * float64(j) * (a + 1))
-	return out, nil
-}
-
-// wtsRows runs the E-step over rows [lo, hi), writing each row's weights
-// into e.wts and accumulating the class sums and log-likelihood into out
-// (length J+1). logp is caller-owned scratch of length J. It only reads
-// shared classification state, so disjoint row ranges may run concurrently.
-func (e *Engine) wtsRows(lo, hi int, out, logp []float64) {
-	j := e.cls.J()
-	for i := lo; i < hi; i++ {
-		row := e.view.Row(i)
-		e.cls.LogMembership(row, logp)
-		z := stats.NormalizeLog(logp)
-		w := e.wts[i*j : (i+1)*j]
-		for cj := 0; cj < j; cj++ {
-			w[cj] = logp[cj]
-			out[cj] += logp[cj]
-		}
-		if !math.IsInf(z, -1) {
-			out[j] += z
-		}
-	}
-}
-
-// workerLogps returns per-worker scratch vectors of length j, reused
-// across cycles.
-func (e *Engine) workerLogps(workers, j int) [][]float64 {
-	if len(e.logps) < workers {
-		e.logps = make([][]float64, workers)
-	}
-	for w := 0; w < workers; w++ {
-		if len(e.logps[w]) < j {
-			e.logps[w] = make([]float64, j)
-		}
-	}
-	return e.logps
-}
-
-// updateParameters is the M-step (paper Fig. 5): for every class and every
-// term block, accumulate weighted sufficient statistics over the local
-// items, reduce them globally, and re-estimate the parameters. With PerTerm
-// granularity the reduction happens inside the class × block loops exactly
-// as in the paper's figure; with Packed granularity all statistics travel
-// in one reduction.
-func (e *Engine) updateParameters() (reducedValues, reductions int, err error) {
-	n := e.view.N()
-	j := e.cls.J()
-	if e.cfg.Granularity != PerTerm && e.cfg.Granularity != Packed {
-		return 0, 0, fmt.Errorf("autoclass: unknown granularity %d", int(e.cfg.Granularity))
-	}
-	buf, offs := e.accumulateStats()
-	reducedValues, reductions, err = e.exchangeStats(buf, offs)
-	if err != nil {
-		return reducedValues, reductions, err
-	}
-	a := float64(e.cls.NumAttrColumns())
-	e.charge(float64(n) * float64(j) * a)
-	return reducedValues, reductions, nil
-}
-
-// exchangeStats reduces the accumulated statistics globally and
-// re-estimates every term — the exchange half of update_parameters,
-// shared by the two-pass cycle, the fused low-memory cycle, and the fused
-// initialization. The reduction pattern — one Allreduce per (class, term)
-// pair, or one packed exchange — is untouched by how the statistics were
-// accumulated.
+// exchangeStats is the exchange half of update_parameters (paper Fig. 5):
+// reduce the accumulated local statistics globally and re-estimate every
+// term. With PerTerm granularity the reduction happens inside the class ×
+// block loops exactly as in the paper's figure; with Packed granularity all
+// statistics travel in one reduction.
 func (e *Engine) exchangeStats(buf []float64, offs []int) (reducedValues, reductions int, err error) {
-	return exchangeClassStats(e.cls, e.cfg.Granularity, e.reduce, buf, offs)
-}
-
-// exchangeClassStats is the engine-independent core of exchangeStats,
-// shared with the streaming trainer.
-func exchangeClassStats(cls *Classification, g Granularity, reduce func([]float64) (int, error), buf []float64, offs []int) (reducedValues, reductions int, err error) {
-	switch g {
+	switch e.cfg.Granularity {
 	case PerTerm:
 		ti := 0
-		for cj, cl := range cls.Classes {
+		for cj, cl := range e.cls.Classes {
 			for bi, term := range cl.Terms {
 				st := buf[offs[ti]:offs[ti+1]]
 				ti++
-				v, err := reduce(st)
+				v, err := e.reduce(st)
 				if err != nil {
 					return reducedValues, reductions, fmt.Errorf("autoclass: reduce class %d block %d: %w", cj, bi, err)
 				}
@@ -607,7 +460,7 @@ func exchangeClassStats(cls *Classification, g Granularity, reduce func([]float6
 			}
 		}
 	case Packed:
-		v, err := reduce(buf)
+		v, err := e.reduce(buf)
 		if err != nil {
 			return reducedValues, reductions, fmt.Errorf("autoclass: packed reduce: %w", err)
 		}
@@ -615,62 +468,22 @@ func exchangeClassStats(cls *Classification, g Granularity, reduce func([]float6
 			reducedValues += v
 			reductions++
 		}
-		ti := 0
-		for _, cl := range cls.Classes {
-			for _, term := range cl.Terms {
-				term.Update(buf[offs[ti]:offs[ti+1]])
-				ti++
-			}
-		}
+		e.updateTerms(buf, offs)
+	default:
+		return 0, 0, fmt.Errorf("autoclass: unknown granularity %d", int(e.cfg.Granularity))
 	}
 	return reducedValues, reductions, nil
 }
 
-// accumulateStats folds the local rows into every (class, term) statistic in
-// one row-major pass. Each slot's additions still happen in ascending row
-// order, so the totals are bitwise the ones the per-term loops would
-// produce, and the single pass over the rows is kinder to the cache and
-// shardable. The offset table lives on the engine and is rebuilt in place
-// each call (class pruning can shrink it), allocating only when it grows.
-// The returned buf holds the LOCAL (unreduced) statistics.
-func (e *Engine) accumulateStats() ([]float64, []int) {
-	n := e.view.N()
-	j := e.cls.J()
-	offs, total := e.statOffsets()
-	if cap(e.statsBuf) < total {
-		e.statsBuf = make([]float64, total)
-	}
-	buf := e.statsBuf[:total]
-	for i := range buf {
-		buf[i] = 0
-	}
-	blocked := e.cfg.Kernels == Blocked
-	if blocked {
-		e.prepareKernels()
-	}
-	if shards := NumRowShards(n); e.cfg.Parallelism != 0 && shards > 0 {
-		workers := e.cfg.Workers(shards)
-		bufs := e.scratch.get(shards, total)
-		if blocked {
-			scr := e.workerBlockScratch(workers, j)
-			ParallelFor(workers, shards, func(worker, s int) {
-				lo, hi := RowShardRange(s, n)
-				e.statsRowsBlocked(lo, hi, bufs[s], offs, scr[worker])
-			})
-		} else {
-			ParallelFor(workers, shards, func(_, s int) {
-				lo, hi := RowShardRange(s, n)
-				e.statsRows(lo, hi, bufs[s], offs)
-			})
+// updateTerms re-estimates every term from the statistics in buf.
+func (e *Engine) updateTerms(buf []float64, offs []int) {
+	ti := 0
+	for _, cl := range e.cls.Classes {
+		for _, term := range cl.Terms {
+			term.Update(buf[offs[ti]:offs[ti+1]])
+			ti++
 		}
-		mergeShards(buf, bufs)
-	} else if blocked {
-		e.statsRowsBlocked(0, n, buf, offs, e.workerBlockScratch(1, j)[0])
-	} else {
-		e.statsRows(0, n, buf, offs)
 	}
-	e.closeCursors()
-	return buf, offs
 }
 
 // statOffsets rebuilds the (class, term) statistics offset table in place
@@ -690,26 +503,6 @@ func (e *Engine) statOffsets() ([]int, int) {
 	return offs, total
 }
 
-// statsRows folds rows [lo, hi) into buf, which holds every (class, term)
-// statistics vector back to back at the offsets in offs (len(offs) is the
-// term count + 1). AccumulateStats only reads term state and writes the
-// caller's slice, so disjoint row ranges may run concurrently on disjoint
-// buffers.
-func (e *Engine) statsRows(lo, hi int, buf []float64, offs []int) {
-	j := e.cls.J()
-	for i := lo; i < hi; i++ {
-		row := e.view.Row(i)
-		ti := 0
-		for cj, cl := range e.cls.Classes {
-			w := e.wts[i*j+cj]
-			for _, term := range cl.Terms {
-				term.AccumulateStats(row, w, buf[offs[ti]:offs[ti+1]])
-				ti++
-			}
-		}
-	}
-}
-
 // updateApproximations refreshes the cached posterior quantities — the
 // cheap third phase whose cost the paper found negligible (§3.1).
 func (e *Engine) updateApproximations() {
@@ -719,8 +512,7 @@ func (e *Engine) updateApproximations() {
 }
 
 // pruneDeadClasses removes classes whose global weight fell below
-// MinClassWeight, compacting the local weights matrix to match. The
-// decision uses globally reduced W values, so every rank prunes
+// MinClassWeight. The decision uses globally reduced W values, so every rank prunes
 // identically. It returns the kept class indices when classes were removed
 // and nil when nothing changed, so the bounded-staleness path can compact
 // its sync baselines with the same mapping.
@@ -752,19 +544,6 @@ func (e *Engine) pruneDeadClasses() []int {
 	for ni, cj := range keep {
 		newClasses[ni] = e.cls.Classes[cj]
 	}
-	// The fused low-memory cycle never materializes the weights matrix —
-	// weights are recomputed from the parameters every cycle, so there is
-	// nothing to compact.
-	if e.wts != nil {
-		n := e.view.N()
-		newWts := make([]float64, n*len(keep))
-		for i := 0; i < n; i++ {
-			for ni, cj := range keep {
-				newWts[i*len(keep)+ni] = e.wts[i*j+cj]
-			}
-		}
-		e.wts = newWts
-	}
 	e.cls.Classes = newClasses
 	e.cls.UpdateClassWeightsFromW()
 	return keep
@@ -774,7 +553,10 @@ func (e *Engine) pruneDeadClasses() []int {
 // statistics. InitRandom must have been called first. With a bounded-
 // staleness schedule active (SyncEvery > 1 on a parallel engine) the cycle
 // dispatches to the stale path in staleness.go; otherwise this is the
-// paper's fully synchronous cycle.
+// paper's fully synchronous cycle. Either way the cycle makes one data pass
+// (pass.go). On Blocked, update_wts's time covers the whole pass, the
+// statistics accumulation included, and update_parameters's only the
+// exchange; on Reference each phase keeps its own loop.
 func (e *Engine) BaseCycle() (CycleStats, error) {
 	var cs CycleStats
 	if !e.started {
@@ -783,15 +565,13 @@ func (e *Engine) BaseCycle() (CycleStats, error) {
 	if e.staleActive() {
 		return e.staleCycle()
 	}
-	if e.chunked {
-		return e.fusedCycle()
-	}
 	cs.Synced = true
 	t0 := time.Now()
-	wtsOut, err := e.updateWts()
-	if err != nil {
-		return cs, err
-	}
+	n := e.view.N()
+	j := e.cls.J()
+	a := float64(e.cls.NumAttrColumns())
+	wtsOut, st, offs, statsSecs := e.pass(false, 0)
+	e.charge(float64(n) * float64(j) * (a + 1))
 	v, err := e.reduce(wtsOut)
 	if err != nil {
 		return cs, fmt.Errorf("autoclass: reduce wts: %w", err)
@@ -800,21 +580,21 @@ func (e *Engine) BaseCycle() (CycleStats, error) {
 		cs.ReducedValues += v
 		cs.Reductions++
 	}
-	j := e.cls.J()
 	for cj, cl := range e.cls.Classes {
 		cl.W = wtsOut[cj]
 	}
 	e.cls.LogLik = wtsOut[j]
-	cs.WtsSeconds = time.Since(t0).Seconds()
+	cs.WtsSeconds = time.Since(t0).Seconds() - statsSecs
 
 	t1 := time.Now()
-	rv, rn, err := e.updateParameters()
+	rv, rn, err := e.exchangeStats(st, offs)
 	if err != nil {
 		return cs, err
 	}
 	cs.ReducedValues += rv
 	cs.Reductions += rn
-	cs.ParamsSeconds = time.Since(t1).Seconds()
+	e.charge(float64(n) * float64(j) * a)
+	cs.ParamsSeconds = statsSecs + time.Since(t1).Seconds()
 
 	t2 := time.Now()
 	e.updateApproximations()

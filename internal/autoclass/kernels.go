@@ -1,14 +1,11 @@
 package autoclass
 
 import (
-	"math"
-
 	"repro/internal/dataset"
 	"repro/internal/model"
 )
 
-// KernelMode selects how the engine's two data-parallel phases evaluate the
-// model terms.
+// KernelMode selects how the engine's data pass evaluates the model terms.
 type KernelMode int
 
 const (
@@ -17,10 +14,14 @@ const (
 	// no recomputed invariant on the per-row hot path. Results agree with
 	// Reference to ≤1e-12 relative and are themselves fully deterministic
 	// (fixed block grid inside the fixed shard grid), so trajectories are
-	// bitwise reproducible for any Parallelism within Blocked mode.
+	// bitwise reproducible for any Parallelism within Blocked mode. The
+	// cycle's E-step and statistics accumulation run fused, block by block,
+	// in one pass over the data; no per-item weights matrix is kept.
 	Blocked KernelMode = iota
-	// Reference is the seed engine's per-row Term path, retained as the
-	// bitwise ground truth the blocked kernels are tested against.
+	// Reference is the seed engine's per-row Term path — the E-step loop
+	// writing an n×J weights matrix, then the statistics loop reading it —
+	// retained as the bitwise ground truth the blocked kernels are tested
+	// against.
 	Reference
 )
 
@@ -76,30 +77,97 @@ var (
 	_ [dataset.ChunkAlign - KernelBlockRows]struct{}
 )
 
-// blockScratch is one worker's blocked-kernel scratch: per-class
-// log-probability vectors for the fused E-step, a gathered weight column
-// for the M-step (each KernelBlockRows long), and — on chunk-backed views
-// — the worker's chunk cursor, pinning exactly the chunk under its blocks.
-type blockScratch struct {
-	lp   [][]float64
-	wcol []float64
-	cur  dataset.ChunkCursor
+// kernelCache holds one kernel per (class, term) for every worker. A
+// kernel carries per-call scratch (model.Kernel is not safe for concurrent
+// use), so each worker of a sharded pass walks its own set. The cache is
+// keyed on term identity: while the class/term structure is unchanged,
+// prepare merely Refreshes the sets against the current parameters, so the
+// steady state allocates nothing; pruning (or a Restore with a different
+// classification) changes the term set and triggers a rebuild. The training
+// engine and the batch scorer share it.
+type kernelCache struct {
+	terms [][]model.Term
+	sets  [][][]model.Kernel // sets[worker][class][term]
 }
 
-// workerBlockScratch returns per-worker blocked scratch sized for j
-// classes, reused across cycles. On a chunk-backed view each worker's
-// cursor is pointed at the view's chunk source for the coming phase.
-func (e *Engine) workerBlockScratch(workers, j int) []*blockScratch {
+// prepare returns `workers` kernel sets for the classes, each refreshed
+// against the current parameters.
+func (kc *kernelCache) prepare(classes []*Class, workers int) [][][]model.Kernel {
+	if !kc.same(classes) {
+		kc.terms = make([][]model.Term, len(classes))
+		for cj, cl := range classes {
+			kc.terms[cj] = append([]model.Term(nil), cl.Terms...)
+		}
+		kc.sets = kc.sets[:0]
+	}
+	for w := 0; w < workers && w < len(kc.sets); w++ {
+		for _, ks := range kc.sets[w] {
+			for _, k := range ks {
+				k.Refresh()
+			}
+		}
+	}
+	for len(kc.sets) < workers {
+		set := make([][]model.Kernel, len(classes))
+		for cj, cl := range classes {
+			set[cj] = make([]model.Kernel, len(cl.Terms))
+			for bi, t := range cl.Terms {
+				set[cj][bi] = t.Kernel()
+			}
+		}
+		kc.sets = append(kc.sets, set)
+	}
+	return kc.sets[:workers]
+}
+
+// same reports whether the cached kernels were built for exactly these
+// terms.
+func (kc *kernelCache) same(classes []*Class) bool {
+	if len(kc.terms) != len(classes) {
+		return false
+	}
+	for cj, cl := range classes {
+		if len(kc.terms[cj]) != len(cl.Terms) {
+			return false
+		}
+		for bi, t := range cl.Terms {
+			if kc.terms[cj][bi] != t {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// blockScratch is one worker's blocked-kernel scratch: its kernel set,
+// per-class vectors (each KernelBlockRows long) that hold a block's
+// log-probabilities and then its weights, and — on chunk-backed views —
+// the worker's chunk cursor, pinning exactly the chunk under its blocks.
+type blockScratch struct {
+	kerns [][]model.Kernel
+	lp    [][]float64
+	cur   dataset.ChunkCursor
+}
+
+// workerBlockScratch readies the blocked path for a pass on `workers`
+// workers: the column-major mirror (built lazily once per view), every
+// worker's kernel set, and per-worker block scratch sized for the current
+// class count, all reused across cycles. On a chunk-backed view each
+// worker's cursor is pointed at the view's chunk source.
+func (e *Engine) workerBlockScratch(workers int) []*blockScratch {
+	if !e.chunked && e.cols == nil {
+		e.cols = e.view.Columns()
+	}
+	sets := e.kernels.prepare(e.cls.Classes, workers)
+	j := e.cls.J()
 	for len(e.blockScr) < workers {
 		e.blockScr = append(e.blockScr, &blockScratch{})
 	}
 	for w := 0; w < workers; w++ {
 		bs := e.blockScr[w]
+		bs.kerns = sets[w]
 		for len(bs.lp) < j {
 			bs.lp = append(bs.lp, make([]float64, KernelBlockRows))
-		}
-		if bs.wcol == nil {
-			bs.wcol = make([]float64, KernelBlockRows)
 		}
 		if e.chunked {
 			bs.cur.Reset(e.src)
@@ -109,8 +177,8 @@ func (e *Engine) workerBlockScratch(workers, j int) []*blockScratch {
 }
 
 // closeCursors releases every worker cursor's pinned chunk — called at the
-// end of each phase so a bounded-residency backing can evict freely
-// between phases.
+// end of each pass so a bounded-residency backing can evict freely between
+// passes.
 func (e *Engine) closeCursors() {
 	if !e.chunked {
 		return
@@ -129,141 +197,4 @@ func (e *Engine) block(bs *blockScratch, blo, bhi int) (cols *dataset.Columns, l
 		return bs.cur.Block(blo, bhi)
 	}
 	return e.cols, blo, bhi
-}
-
-// prepareKernels readies the blocked path for a phase: the column-major
-// mirror (built lazily once per view) and one kernel per (class, term).
-// Kernels are cached on the engine and reused across cycles — when the
-// class/term structure is unchanged they are merely Refreshed against the
-// current parameters, so the steady state allocates nothing. Pruning (or a
-// Restore with a different classification) changes the term set and
-// triggers a rebuild, detected by term identity.
-func (e *Engine) prepareKernels() {
-	if !e.chunked && e.cols == nil {
-		e.cols = e.view.Columns()
-	}
-	classes := e.cls.Classes
-	same := len(e.kernTerms) == len(classes)
-	if same {
-	check:
-		for cj, cl := range classes {
-			if len(e.kernTerms[cj]) != len(cl.Terms) {
-				same = false
-				break
-			}
-			for bi, t := range cl.Terms {
-				if e.kernTerms[cj][bi] != t {
-					same = false
-					break check
-				}
-			}
-		}
-	}
-	if same {
-		for _, ks := range e.kerns {
-			for _, k := range ks {
-				k.Refresh()
-			}
-		}
-		return
-	}
-	e.kerns = make([][]model.Kernel, len(classes))
-	e.kernTerms = make([][]model.Term, len(classes))
-	for cj, cl := range classes {
-		e.kerns[cj] = make([]model.Kernel, len(cl.Terms))
-		e.kernTerms[cj] = append([]model.Term(nil), cl.Terms...)
-		for bi, t := range cl.Terms {
-			e.kerns[cj][bi] = t.Kernel()
-		}
-	}
-}
-
-// wtsRowsBlocked is the blocked E-step over rows [lo, hi): per row block,
-// every class's log-membership vector is produced by the blocked kernels
-// (LogPi broadcast + one BlockLogProb per term), then normalization, the
-// weight write-back and the class/log-likelihood accumulation are fused in
-// a second pass — zero interface calls and zero allocations per row. The
-// semantics match wtsRows + stats.NormalizeLog, including the all-(-Inf)
-// row convention (uniform weights, nothing added to the log-likelihood);
-// association differs, so results agree to ≤1e-12 relative rather than
-// bitwise.
-func (e *Engine) wtsRowsBlocked(lo, hi int, out []float64, bs *blockScratch) {
-	j := e.cls.J()
-	for blo := lo; blo < hi; blo += KernelBlockRows {
-		bhi := blo + KernelBlockRows
-		if bhi > hi {
-			bhi = hi
-		}
-		m := bhi - blo
-		cols, clo, chi := e.block(bs, blo, bhi)
-		for cj, cl := range e.cls.Classes {
-			lp := bs.lp[cj][:m]
-			logPi := cl.LogPi
-			for r := range lp {
-				lp[r] = logPi
-			}
-			for _, k := range e.kerns[cj] {
-				k.BlockLogProb(cols, clo, chi, lp)
-			}
-		}
-		for r := 0; r < m; r++ {
-			maxv := math.Inf(-1)
-			for cj := 0; cj < j; cj++ {
-				if v := bs.lp[cj][r]; v > maxv {
-					maxv = v
-				}
-			}
-			w := e.wts[(blo+r)*j : (blo+r+1)*j]
-			if math.IsInf(maxv, -1) {
-				u := 1 / float64(j)
-				for cj := 0; cj < j; cj++ {
-					w[cj] = u
-					out[cj] += u
-				}
-				continue
-			}
-			sum := 0.0
-			for cj := 0; cj < j; cj++ {
-				ev := math.Exp(bs.lp[cj][r] - maxv)
-				w[cj] = ev
-				sum += ev
-			}
-			inv := 1 / sum
-			for cj := 0; cj < j; cj++ {
-				wv := w[cj] * inv
-				w[cj] = wv
-				out[cj] += wv
-			}
-			out[j] += maxv + math.Log(sum)
-		}
-	}
-}
-
-// statsRowsBlocked is the blocked M-step over rows [lo, hi): per row block
-// and class, the weight column is gathered once from the row-major weights
-// matrix, then every term folds the whole block into its statistics slice
-// with one BlockAccumulateStats call. Slot order (class-major, term-minor)
-// and per-slot row order both match statsRows, so the fixed block grid
-// keeps the accumulation deterministic for every Parallelism setting.
-func (e *Engine) statsRowsBlocked(lo, hi int, buf []float64, offs []int, bs *blockScratch) {
-	j := e.cls.J()
-	for blo := lo; blo < hi; blo += KernelBlockRows {
-		bhi := blo + KernelBlockRows
-		if bhi > hi {
-			bhi = hi
-		}
-		m := bhi - blo
-		cols, clo, chi := e.block(bs, blo, bhi)
-		ti := 0
-		for cj, cl := range e.cls.Classes {
-			wcol := bs.wcol[:m]
-			for r := 0; r < m; r++ {
-				wcol[r] = e.wts[(blo+r)*j+cj]
-			}
-			for bi := range cl.Terms {
-				e.kerns[cj][bi].BlockAccumulateStats(cols, wcol, clo, chi, buf[offs[ti]:offs[ti+1]])
-				ti++
-			}
-		}
-	}
 }

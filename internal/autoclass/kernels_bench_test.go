@@ -24,19 +24,19 @@ func benchEngine(b *testing.B, n, j int, mode KernelMode) *Engine {
 	return eng
 }
 
-// BenchmarkUpdateWts measures the E-step alone — the phase the paper's
-// Fig. 4 profile singles out as the dominant base_cycle cost — under both
-// kernel modes.
-func BenchmarkUpdateWts(b *testing.B) {
+// BenchmarkDataPass measures the cycle's data pass alone — the E-step the
+// paper's Fig. 4 profile singles out as the dominant base_cycle cost,
+// together with the statistics accumulation of update_parameters — under
+// both kernel modes: one fused block loop on Blocked, the two per-row loops
+// on Reference.
+func BenchmarkDataPass(b *testing.B) {
 	for _, mode := range []KernelMode{Blocked, Reference} {
 		b.Run("kernels="+mode.String(), func(b *testing.B) {
 			eng := benchEngine(b, 10000, 8, mode)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := eng.updateWts(); err != nil {
-					b.Fatal(err)
-				}
+				eng.pass(false, 0)
 			}
 		})
 	}

@@ -2,6 +2,7 @@ package autoclass
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"repro/internal/datagen"
@@ -64,7 +65,10 @@ func specClassification(t testing.TB, ds *dataset.Dataset, spec model.Spec, j in
 // reproduce the reference per-row weights, class sums and log-likelihood,
 // and the blocked M-step the reference statistics vectors, to ≤1e-12
 // relative — across every term kind, missing-value pattern, and dataset
-// sizes straddling the KernelBlockRows and RowShardSize boundaries.
+// sizes straddling the KernelBlockRows and RowShardSize boundaries. The
+// blocked halves are driven block by block, exactly as the fused pass
+// composes them, and the M-step comparison feeds both paths the reference
+// weights.
 func TestBlockedMatchesReferencePhases(t *testing.T) {
 	for _, n := range []int{1, 255, 256, 257, 1300} {
 		for _, sc := range kernelScenarios(t, n) {
@@ -92,12 +96,19 @@ func TestBlockedMatchesReferencePhases(t *testing.T) {
 				outR := make([]float64, j+1)
 				eng.wtsRows(0, n, outR, make([]float64, j))
 				wtsR := append([]float64(nil), eng.wts...)
-				eng.prepareKernels()
+				bs := eng.workerBlockScratch(1)[0]
 				outB := make([]float64, j+1)
-				eng.wtsRowsBlocked(0, n, outB, eng.workerBlockScratch(1, j)[0])
-				for i := range wtsR {
-					if !stats.AlmostEqual(eng.wts[i], wtsR[i], 1e-12) {
-						t.Fatalf("weight %d: blocked %v, reference %v", i, eng.wts[i], wtsR[i])
+				for blo := 0; blo < n; blo += KernelBlockRows {
+					bhi := min(blo+KernelBlockRows, n)
+					cols, clo, chi := eng.block(bs, blo, bhi)
+					eng.blockWeights(bs, cols, clo, chi, outB)
+					for r := 0; r < bhi-blo; r++ {
+						for cj := 0; cj < j; cj++ {
+							i := (blo+r)*j + cj
+							if !stats.AlmostEqual(bs.lp[cj][r], wtsR[i], 1e-12) {
+								t.Fatalf("weight %d: blocked %v, reference %v", i, bs.lp[cj][r], wtsR[i])
+							}
+						}
 					}
 				}
 				for k := range outR {
@@ -106,7 +117,6 @@ func TestBlockedMatchesReferencePhases(t *testing.T) {
 					}
 				}
 				// M-step over identical weights.
-				copy(eng.wts, wtsR)
 				offs := []int{}
 				total := 0
 				for _, cl := range cls.Classes {
@@ -119,7 +129,16 @@ func TestBlockedMatchesReferencePhases(t *testing.T) {
 				bufR := make([]float64, total)
 				eng.statsRows(0, n, bufR, offs)
 				bufB := make([]float64, total)
-				eng.statsRowsBlocked(0, n, bufB, offs, eng.workerBlockScratch(1, j)[0])
+				for blo := 0; blo < n; blo += KernelBlockRows {
+					bhi := min(blo+KernelBlockRows, n)
+					for r := 0; r < bhi-blo; r++ {
+						for cj := 0; cj < j; cj++ {
+							bs.lp[cj][r] = wtsR[(blo+r)*j+cj]
+						}
+					}
+					cols, clo, chi := eng.block(bs, blo, bhi)
+					eng.blockStats(bs, cols, clo, chi, bufB, offs)
+				}
 				for s := range bufR {
 					if !stats.AlmostEqual(bufB[s], bufR[s], 1e-12) && !(bufB[s] == 0 && bufR[s] == 0) {
 						t.Fatalf("M-step stat %d: blocked %v, reference %v", s, bufB[s], bufR[s])
@@ -202,10 +221,72 @@ func TestBlockedDeterministicAcrossParallelism(t *testing.T) {
 	}
 }
 
-// TestUpdatePhasesDoNotAllocate extends the AllocsPerRun guards to the two
-// hot phases themselves: after warm-up, updateWts and updateParameters must
-// run allocation-free in BOTH kernel modes — the per-cycle out/offs
-// allocations this PR hoisted into engine scratch must not regress, and the
+// TestCorrelatedKernelsParallelismBitwise: the multi-normal kernel keeps
+// per-call scratch, so every worker of a sharded pass needs its own kernel.
+// Training and Predict with CorrelatedSpec over several shards must be
+// bitwise identical at every Parallelism — a kernel shared between workers
+// corrupts the forward-solve scratch (NaN posteriors, or an out-of-range
+// panic in Predict).
+func TestCorrelatedKernelsParallelismBitwise(t *testing.T) {
+	ds, _, err := datagen.ProteinMixture().Generate(5000, 21)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := datagen.InjectMissing(ds, 0.05, 23); err != nil {
+		t.Fatal(err)
+	}
+	spec := model.CorrelatedSpec(ds)
+	train := func(par int) ([]float64, *Classification) {
+		cfg := DefaultConfig()
+		cfg.MaxCycles = 8
+		cfg.Parallelism = par
+		cls := specClassification(t, ds, spec, 4)
+		eng, err := NewEngine(ds.All(), cls, cfg, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := eng.InitRandom(7); err != nil {
+			t.Fatal(err)
+		}
+		res, err := eng.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.History, cls
+	}
+	wantHist, wantCls := train(1)
+	if math.IsNaN(wantCls.LogPost) {
+		t.Fatal("Parallelism 1 posterior is NaN")
+	}
+	want, err := Predict(wantCls, ds, PredictConfig{Parallelism: 1, RowLogLik: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, par := range []int{2, 4} {
+		t.Run(fmt.Sprintf("par=%d", par), func(t *testing.T) {
+			gotHist, gotCls := train(par)
+			sameBits(t, "history", gotHist, wantHist)
+			sameClassification(t, gotCls, wantCls)
+			got, err := Predict(wantCls, ds, PredictConfig{Parallelism: par, RowLogLik: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameBits(t, "memberships", got.Memberships, want.Memberships)
+			sameBits(t, "row loglik", got.RowLL, want.RowLL)
+			sameBits(t, "loglik", []float64{got.LogLik}, []float64{want.LogLik})
+			for i := range want.MAP {
+				if got.MAP[i] != want.MAP[i] {
+					t.Fatalf("MAP[%d]: %d != %d", i, got.MAP[i], want.MAP[i])
+				}
+			}
+		})
+	}
+}
+
+// TestUpdatePhasesDoNotAllocate extends the AllocsPerRun guards to the hot
+// phases themselves: after warm-up, the cycle's data pass and the
+// statistics exchange must run allocation-free in BOTH kernel modes — the
+// per-cycle result and offset buffers live in engine scratch, and the
 // blocked path's kernel cache must be fully steady-state.
 func TestUpdatePhasesDoNotAllocate(t *testing.T) {
 	for _, mode := range []KernelMode{Blocked, Reference} {
@@ -225,18 +306,17 @@ func TestUpdatePhasesDoNotAllocate(t *testing.T) {
 				}
 			}
 			if n := testing.AllocsPerRun(20, func() {
-				if _, err := eng.updateWts(); err != nil {
-					t.Fatal(err)
-				}
+				eng.pass(false, 0)
 			}); n != 0 {
-				t.Errorf("updateWts allocates %v times per cycle", n)
+				t.Errorf("data pass allocates %v times per cycle", n)
 			}
+			_, st, offs, _ := eng.pass(false, 0)
 			if n := testing.AllocsPerRun(20, func() {
-				if _, _, err := eng.updateParameters(); err != nil {
+				if _, _, err := eng.exchangeStats(st, offs); err != nil {
 					t.Fatal(err)
 				}
 			}); n != 0 {
-				t.Errorf("updateParameters allocates %v times per cycle", n)
+				t.Errorf("statistics exchange allocates %v times per cycle", n)
 			}
 		})
 	}

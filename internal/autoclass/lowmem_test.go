@@ -106,10 +106,11 @@ func chunkBackings(t *testing.T, ds *dataset.Dataset, chunkRows int) map[string]
 	return out
 }
 
-// TestFusedTrainingMatchesClassic is the tentpole property test: training
-// on a chunk-backed dataset — any backing, any chunk size, including
-// partial final chunks — produces the bitwise-identical trajectory of the
-// classic two-pass engine on the materialized dataset.
+// TestFusedTrainingMatchesClassic is the chunk plane's property test:
+// training on a chunk-backed dataset — any backing, any chunk size,
+// including partial final chunks — produces the bitwise-identical
+// trajectory of the same fused pass over the materialized, in-memory
+// dataset.
 func TestFusedTrainingMatchesClassic(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.MaxCycles = 6
@@ -151,7 +152,7 @@ func TestFusedParallelismInvariance(t *testing.T) {
 }
 
 // TestChunkedEngineRejections: the chunk plane serves only the blocked
-// synchronous path.
+// kernels.
 func TestChunkedEngineRejections(t *testing.T) {
 	ds := mixedMissDS(t, 600)
 	vd, err := dataset.ChunkedCopy(ds, 256)
@@ -163,11 +164,6 @@ func TestChunkedEngineRejections(t *testing.T) {
 	cfg.Kernels = Reference
 	if _, err := NewEngine(vd.All(), cls, cfg, nil, nil); err == nil {
 		t.Error("Reference kernels accepted on a chunk-backed dataset")
-	}
-	cfg = DefaultConfig()
-	cfg.SyncEvery = 3
-	if _, err := NewEngine(vd.All(), cls, cfg, nil, nil); err == nil {
-		t.Error("SyncEvery > 1 accepted on a chunk-backed dataset")
 	}
 }
 
@@ -272,13 +268,11 @@ func TestFusedSteadyStateZeroAlloc(t *testing.T) {
 	}
 	n := eng.view.N()
 	j := eng.cls.J()
-	eng.prepareKernels()
 	offs, total := eng.statOffsets()
-	width := j + 1 + total
-	bufs := eng.scratch.get(1, width)
-	bs := eng.workerBlockScratch(1, j)[0]
+	out := make([]float64, j+1+total)
+	bs := eng.workerBlockScratch(1)[0]
 	if a := testing.AllocsPerRun(5, func() {
-		eng.fusedRowsBlocked(0, n, bufs[0][:j+1], bufs[0][j+1:], offs, bs)
+		eng.passBlocked(0, n, out, offs, bs, false, 0)
 	}); a != 0 {
 		t.Errorf("steady-state fused pass allocates %v times", a)
 	}

@@ -135,7 +135,7 @@ func PredictView(cls *Classification, view *dataset.View, cfg PredictConfig) (*P
 }
 
 // Predictor is a reusable batch scorer over one fitted classification. It
-// caches the per-(class, term) kernels, the per-worker scratch and the
+// caches each worker's per-(class, term) kernels and scratch and the
 // result buffers across calls, keyed on term identity — in a serving loop
 // over same-shaped batches the steady state performs zero allocations
 // (kernels are merely Refreshed against the parameters). A Predictor is
@@ -146,11 +146,10 @@ type Predictor struct {
 	cls *Classification
 	cfg PredictConfig
 
-	kerns     [][]model.Kernel
-	kernTerms [][]model.Term
-	scratch   []*predictScratch
-	lls       []float64
-	lastDS    *dataset.Dataset // last schema-validated dataset
+	kernels kernelCache
+	scratch []*predictScratch
+	lls     []float64
+	lastDS  *dataset.Dataset // last schema-validated dataset
 
 	// The shard loop body is built once and bound to these per-call fields
 	// so a warm PredictInto never allocates a fresh closure.
@@ -167,13 +166,15 @@ type Predictor struct {
 	src     dataset.ChunkSrc
 }
 
-// predictScratch is one worker's scratch: per-class log-probability block
-// vectors (blocked) or a single per-row log-membership vector (reference),
-// plus — on chunk-backed views — the worker's chunk cursor.
+// predictScratch is one worker's scratch: its kernel set and per-class
+// log-probability block vectors (blocked) or a single per-row
+// log-membership vector (reference), plus — on chunk-backed views — the
+// worker's chunk cursor.
 type predictScratch struct {
-	lp   [][]float64
-	logp []float64
-	cur  dataset.ChunkCursor
+	kerns [][]model.Kernel
+	lp    [][]float64
+	logp  []float64
+	cur   dataset.ChunkCursor
 }
 
 // NewPredictor validates the configuration and builds a reusable scorer.
@@ -239,9 +240,6 @@ func (pr *Predictor) PredictInto(view *dataset.View, p *Prediction) error {
 	} else if pr.cfg.Kernels == Blocked {
 		pr.cols = view.Columns()
 	}
-	if pr.cfg.Kernels == Blocked {
-		pr.prepareKernels()
-	}
 	// Unlike the training engine, there is no seed-sequential legacy mode to
 	// preserve: the scorer always runs on the fixed shard grid, so every
 	// Parallelism value — including 0 — accumulates the log-likelihood in
@@ -274,58 +272,24 @@ func (pr *Predictor) PredictInto(view *dataset.View, p *Prediction) error {
 	return nil
 }
 
-// prepareKernels builds (or, when the term structure is unchanged,
-// Refreshes) one kernel per (class, term) — the same identity-keyed cache
-// the training engine uses, so repeated predictions over a stable model
-// allocate nothing here.
-func (pr *Predictor) prepareKernels() {
-	classes := pr.cls.Classes
-	same := len(pr.kernTerms) == len(classes)
-	if same {
-	check:
-		for cj, cl := range classes {
-			if len(pr.kernTerms[cj]) != len(cl.Terms) {
-				same = false
-				break
-			}
-			for bi, t := range cl.Terms {
-				if pr.kernTerms[cj][bi] != t {
-					same = false
-					break check
-				}
-			}
-		}
-	}
-	if same {
-		for _, ks := range pr.kerns {
-			for _, k := range ks {
-				k.Refresh()
-			}
-		}
-		return
-	}
-	pr.kerns = make([][]model.Kernel, len(classes))
-	pr.kernTerms = make([][]model.Term, len(classes))
-	for cj, cl := range classes {
-		pr.kerns[cj] = make([]model.Kernel, len(cl.Terms))
-		pr.kernTerms[cj] = append([]model.Term(nil), cl.Terms...)
-		for bi, t := range cl.Terms {
-			pr.kerns[cj][bi] = t.Kernel()
-		}
-	}
-}
-
 // prepare returns `workers` scratch instances, reused across calls and
-// grown on demand. On a chunk-backed view each worker's cursor is pointed
-// at the view's chunk source.
+// grown on demand, each with its own kernel set on the blocked path (the
+// same identity-keyed cache the training engine uses, so repeated
+// predictions over a stable model allocate nothing here). On a chunk-backed
+// view each worker's cursor is pointed at the view's chunk source.
 func (pr *Predictor) prepare(workers int) []*predictScratch {
 	j := pr.cls.J()
 	for len(pr.scratch) < workers {
 		pr.scratch = append(pr.scratch, &predictScratch{})
 	}
+	var sets [][][]model.Kernel
+	if pr.cfg.Kernels == Blocked {
+		sets = pr.kernels.prepare(pr.cls.Classes, workers)
+	}
 	for w := 0; w < workers; w++ {
 		ps := pr.scratch[w]
 		if pr.cfg.Kernels == Blocked {
+			ps.kerns = sets[w]
 			for len(ps.lp) < j {
 				ps.lp = append(ps.lp, make([]float64, KernelBlockRows))
 			}
@@ -406,7 +370,7 @@ func (pr *Predictor) scoreRowsBlocked(lo, hi int, p *Prediction, ps *predictScra
 			for r := range lp {
 				lp[r] = logPi
 			}
-			for _, k := range pr.kerns[cj] {
+			for _, k := range ps.kerns[cj] {
 				k.BlockLogProb(cols, clo, chi, lp)
 			}
 		}

@@ -75,11 +75,10 @@ func (e *Engine) staleScratch(n int) []float64 {
 func (e *Engine) staleCycle() (CycleStats, error) {
 	var cs CycleStats
 	t0 := time.Now()
-	out, err := e.updateWts()
-	if err != nil {
-		return cs, err
-	}
+	n := e.view.N()
 	j := e.cls.J()
+	out, st, offs, statsSecs := e.pass(false, 0)
+	e.charge(float64(n) * float64(j) * (float64(e.cls.NumAttrColumns()) + 1))
 	frac := e.localFrac()
 	bootstrap := e.syncStats == nil
 	// Group-consistent schedule: every rank computes the same decision from
@@ -143,16 +142,16 @@ func (e *Engine) staleCycle() (CycleStats, error) {
 			cl.W = out[cj]
 		}
 		e.cls.LogLik = out[j]
-		cs.WtsSeconds = time.Since(t0).Seconds()
+		cs.WtsSeconds = time.Since(t0).Seconds() - statsSecs
 
 		t1 := time.Now()
-		rv, rn, err := e.mergeParameters(bootstrap, frac)
+		rv, rn, err := e.mergeParameters(st, offs, bootstrap, frac)
 		if err != nil {
 			return cs, err
 		}
 		cs.ReducedValues += rv
 		cs.Reductions += rn
-		cs.ParamsSeconds = time.Since(t1).Seconds()
+		cs.ParamsSeconds = statsSecs + time.Since(t1).Seconds()
 
 		// Capture the new global baseline (syncStats was captured inside
 		// mergeParameters, where the reduced buffer is live).
@@ -171,13 +170,13 @@ func (e *Engine) staleCycle() (CycleStats, error) {
 			cl.W = (1-frac)*e.syncWts[cj] + out[cj]
 		}
 		e.cls.LogLik = (1-frac)*e.syncWts[j] + out[j]
-		cs.WtsSeconds = time.Since(t0).Seconds()
+		cs.WtsSeconds = time.Since(t0).Seconds() - statsSecs
 
 		t1 := time.Now()
-		if err := e.localParameters(frac); err != nil {
+		if err := e.localParameters(st, offs, frac); err != nil {
 			return cs, err
 		}
-		cs.ParamsSeconds = time.Since(t1).Seconds()
+		cs.ParamsSeconds = statsSecs + time.Since(t1).Seconds()
 		e.sinceSync++
 	}
 
@@ -199,18 +198,17 @@ func (e *Engine) staleCycle() (CycleStats, error) {
 	return cs, nil
 }
 
-// mergeParameters is the sync-point M-step: accumulate the local
-// sufficient statistics, merge them into the global model (plain reduce on
-// the bootstrap cycle, corrective delta fold afterwards) honoring the
+// mergeParameters is the sync-point M-step: merge the pass's local
+// sufficient statistics buf into the global model (plain reduce on the
+// bootstrap cycle, corrective delta fold afterwards) honoring the
 // configured exchange granularity, re-estimate every term from the merged
 // statistics, and capture them as the new baseline.
-func (e *Engine) mergeParameters(bootstrap bool, frac float64) (reducedValues, reductions int, err error) {
+func (e *Engine) mergeParameters(buf []float64, offs []int, bootstrap bool, frac float64) (reducedValues, reductions int, err error) {
 	n := e.view.N()
 	j := e.cls.J()
 	if e.cfg.Granularity != PerTerm && e.cfg.Granularity != Packed {
 		return 0, 0, fmt.Errorf("autoclass: unknown granularity %d", int(e.cfg.Granularity))
 	}
-	buf, offs := e.accumulateStats()
 	ex := buf // the buffer that travels through the Reducer
 	if !bootstrap {
 		if len(e.syncStats) != len(buf) {
@@ -248,13 +246,7 @@ func (e *Engine) mergeParameters(bootstrap bool, frac float64) (reducedValues, r
 			buf[i] = e.syncStats[i] + ex[i]
 		}
 	}
-	ti := 0
-	for _, cl := range e.cls.Classes {
-		for _, term := range cl.Terms {
-			term.Update(buf[offs[ti]:offs[ti+1]])
-			ti++
-		}
-	}
+	e.updateTerms(buf, offs)
 	e.syncStats = append(e.syncStats[:0], buf...)
 	a := float64(e.cls.NumAttrColumns())
 	e.charge(float64(n) * float64(j) * a)
@@ -262,11 +254,10 @@ func (e *Engine) mergeParameters(bootstrap bool, frac float64) (reducedValues, r
 }
 
 // localParameters is the stale-cycle M-step: re-estimate every term from
-// the working statistics (1 − frac)·synced + local, with no exchange.
-func (e *Engine) localParameters(frac float64) error {
+// the working statistics (1 − frac)·synced + local buf, with no exchange.
+func (e *Engine) localParameters(buf []float64, offs []int, frac float64) error {
 	n := e.view.N()
 	j := e.cls.J()
-	buf, offs := e.accumulateStats()
 	if len(e.syncStats) != len(buf) {
 		return fmt.Errorf("autoclass: sync baseline holds %d statistics, model needs %d", len(e.syncStats), len(buf))
 	}
@@ -274,13 +265,7 @@ func (e *Engine) localParameters(frac float64) error {
 	for i := range buf {
 		work[i] = (1-frac)*e.syncStats[i] + buf[i]
 	}
-	ti := 0
-	for _, cl := range e.cls.Classes {
-		for _, term := range cl.Terms {
-			term.Update(work[offs[ti]:offs[ti+1]])
-			ti++
-		}
-	}
+	e.updateTerms(work, offs)
 	a := float64(e.cls.NumAttrColumns())
 	e.charge(float64(n) * float64(j) * a)
 	return nil

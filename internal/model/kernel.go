@@ -15,6 +15,12 @@ import "repro/internal/dataset"
 // (class, term) and reuse them across cycles with zero steady-state
 // allocation.
 //
+// A Kernel is NOT safe for concurrent use: it may keep per-call scratch
+// (the multi-normal kernel gathers column slices and forward-solves into
+// buffers it owns). Workers scoring or accumulating in parallel must each
+// hold their own kernel per (class, term); several kernels over one Term
+// are fine, since Block calls only read the term.
+//
 // Contract: out and st follow the accumulate convention of LogProb and
 // AccumulateStats — contributions are ADDED, missing values add nothing —
 // and out[i] corresponds to view-local row lo+i. Block results may differ

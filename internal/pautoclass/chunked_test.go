@@ -86,6 +86,25 @@ func TestParallelChunkedMatchesMaterialized(t *testing.T) {
 	}
 }
 
+// TestParallelChunkedStaleMatchesMaterialized: the bounded-staleness
+// schedule runs on the same data pass as the synchronous one, so a chunked
+// 2-rank SyncEvery=3 search must reproduce the in-memory one bit for bit,
+// on a bounded-residency cache and on a file loaded whole. The row count is
+// a multiple of ChunkAlign×P, so the partitions coincide.
+func TestParallelChunkedStaleMatchesMaterialized(t *testing.T) {
+	const p = 2
+	ds := paperDS(t, 4*dataset.ChunkAlign*p)
+	cfg, opts := staleConfig(3)
+	want := runParallelSearch(t, ds, p, cfg, opts)
+	for name, cds := range map[string]*dataset.Dataset{
+		"file-cached":   chunkFileDS(t, ds, 512, dataset.ChunkOptions{Mode: dataset.ChunkCached, Chunks: 2}),
+		"file-inmemory": chunkFileDS(t, ds, 256, dataset.ChunkOptions{Mode: dataset.ChunkInMemory}),
+	} {
+		got := runParallelSearch(t, cds, p, cfg, opts)
+		sameSearchBits(t, name, got, want)
+	}
+}
+
 // TestParallelChunkedAlignedPartition: when the row count does not divide
 // evenly, the chunk-backed partition lands every rank's start on the
 // ChunkAlign grid (so kernel blocks stay chunk-contained) and all backings

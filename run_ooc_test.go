@@ -69,8 +69,6 @@ func TestRunChunkedOptionValidation(t *testing.T) {
 		{"budget without chunked", ds, []Option{WithMemoryBudget(1 << 20)}},
 		{"negative budget", nil, []Option{WithChunkedData(path), WithMemoryBudget(-1)}},
 		{"chunked+reference kernels", nil, []Option{WithChunkedData(path), WithSearchConfig(refCfg)}},
-		{"chunked+stale sync", nil, []Option{WithChunkedData(path), WithSyncEvery(3),
-			WithParallel(ParallelConfig{Procs: 2})}},
 		{"chunked+wtsonly", nil, []Option{WithChunkedData(path),
 			WithParallel(ParallelConfig{Procs: 2, Strategy: WtsOnly})}},
 		{"missing chunk file", nil, []Option{WithChunkedData(filepath.Join(t.TempDir(), "nope.chunks"))}},
